@@ -244,14 +244,14 @@ double BandwidthObjective::bandwidth_to(std::span<const NodeId> wiring,
 }
 
 LandmarkObjective::LandmarkObjective(NodeId self, std::vector<NodeId> candidates,
-                                     std::vector<double> direct,
+                                     std::span<const double> direct,
                                      const graph::DistanceMatrix* landmark_dist,
                                      const std::vector<std::int32_t>* landmark_col,
                                      std::vector<NodeId> targets, bool maximize,
                                      double unreachable_penalty)
     : self_(self),
       candidates_(std::move(candidates)),
-      direct_(std::move(direct)),
+      direct_(direct),
       dist_(landmark_dist),
       col_(landmark_col),
       targets_(std::move(targets)),

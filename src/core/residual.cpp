@@ -1,6 +1,7 @@
 #include "core/residual.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "graph/shortest_path.hpp"
@@ -68,12 +69,14 @@ std::vector<double> resolve_preference(
 
 }  // namespace
 
-double default_unreachable_penalty(const graph::Digraph& overlay) {
-  // 1000x the largest finite edge weight (or 1e6 for empty overlays) keeps
+double default_unreachable_penalty(const graph::Digraph& overlay,
+                                   bool finite_only) {
+  // 1000x the largest edge weight (or 1e6 for empty overlays) keeps
   // connectivity dominant without destroying float precision.
   double max_weight = 0.0;
   for (std::size_t u = 0; u < overlay.node_count(); ++u) {
     for (const auto& e : overlay.out_edges(static_cast<NodeId>(u))) {
+      if (finite_only && !std::isfinite(e.weight)) continue;
       max_weight = std::max(max_weight, e.weight);
     }
   }

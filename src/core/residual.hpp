@@ -31,7 +31,11 @@ namespace egoist::core {
 
 /// Penalty used for unreachable destinations when none is supplied:
 /// comfortably larger than any realistic path cost ("M >> n").
-double default_unreachable_penalty(const graph::Digraph& overlay);
+/// `finite_only` skips non-finite edge weights (links announced at an
+/// unmeasured, infinite cost), which would otherwise make the penalty
+/// infinite; off by default, the historical scan.
+double default_unreachable_penalty(const graph::Digraph& overlay,
+                                   bool finite_only = false);
 
 /// As above, from a CSR snapshot (scans the cached max weight instead of
 /// every adjacency list).

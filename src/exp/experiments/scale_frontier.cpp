@@ -27,6 +27,11 @@
 // skipped_evals / dirty_frac / dirty_nodes; `compare-full = true`
 // additionally runs the full-recompute variant of every n on the same
 // trace and reports speedup_vs_full on the incremental rows.
+//
+// `per-epoch = true` adds an "epochs" panel: one row per timed epoch with
+// its online count, evaluations, re-wirings and wall time — the per-epoch
+// re-wiring series docs/EXPERIMENTS.md records. Every row carries
+// `host_cpus` so worker-count timings are read against the hardware.
 #include <algorithm>
 #include <chrono>
 #include <iomanip>
@@ -34,6 +39,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "churn/churn.hpp"
 #include "exp/common.hpp"
@@ -126,6 +132,9 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
   const bool incremental = params.get_bool("incremental", false);
   const double drift_threshold = params.get_double("drift-threshold", 0.05);
   const bool compare_full = params.get_bool("compare-full", false);
+  const bool per_epoch = params.get_bool("per-epoch", false);
+  const std::string host_cpus =
+      std::to_string(std::thread::hardware_concurrency());
   if (churn_horizon < 0) {
     throw std::invalid_argument("churn-horizon must be >= 0");
   }
@@ -145,6 +154,7 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
 
   const std::vector<std::string> kColumns{
       "n",           "variant",         "underlay",    "workers",
+      "host_cpus",
       "build_ms",    "epoch_ms_mean",   "epoch_ms_min", "rewirings",
       "evaluated",   "skipped_evals",   "dirty_frac",  "dirty_nodes",
       "speedup_vs_full", "mean_cost",   "unreachable", "churn_rate",
@@ -207,11 +217,25 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
           net.set_online(events[next_event].node, events[next_event].on);
         }
       }
+      const std::uint64_t epoch_evals = net.total_evaluations();
       const auto start = std::chrono::steady_clock::now();
-      row.rewirings += net.run_epoch();
+      const int rewired = net.run_epoch();
       const double ms = ms_since(start);
+      row.rewirings += rewired;
       row.epoch_ms_mean += ms;
       row.epoch_ms_min = std::min(row.epoch_ms_min, ms);
+      if (per_epoch) {
+        std::ostringstream epoch_ms;
+        epoch_ms << std::fixed << std::setprecision(1) << ms;
+        sink.row("epochs",
+                 {"n", "variant", "workers", "host_cpus", "epoch", "online",
+                  "evaluated", "rewirings", "epoch_ms"},
+                 {std::to_string(n), row.variant,
+                  std::to_string(config.epoch_workers), host_cpus,
+                  std::to_string(e + 1), std::to_string(net.online_count()),
+                  std::to_string(net.total_evaluations() - epoch_evals),
+                  std::to_string(rewired), epoch_ms.str()});
+      }
     }
     row.epoch_ms_mean /= epochs;
     row.evaluated = net.total_evaluations() - evals_mark;
@@ -288,6 +312,7 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
                    row.variant,
                    row.underlay,
                    std::to_string(config.epoch_workers),
+                   host_cpus,
                    build_ms.str(),
                    mean_ms.str(),
                    min_ms.str(),

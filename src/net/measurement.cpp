@@ -45,8 +45,12 @@ BandwidthProber::BandwidthProber(const BandwidthField& bw, std::uint64_t seed,
 }
 
 double BandwidthProber::estimate(int i, int j) {
+  return estimate(i, j, rng_.normal(0.0, 1.0));
+}
+
+double BandwidthProber::estimate(int i, int j, double z) const {
   const double truth = bw_.avail_bw(i, j);
-  return std::max(0.0, truth * (1.0 + relative_error_ * rng_.normal(0.0, 1.0)));
+  return std::max(0.0, truth * (1.0 + relative_error_ * z));
 }
 
 double OverheadFormulas::coord_load_bps(std::size_t n, double epoch_s) {

@@ -62,8 +62,13 @@ class BandwidthProber {
   BandwidthProber(const BandwidthField& bw, std::uint64_t seed,
                   double relative_error = 0.05);
 
-  /// Estimated available bandwidth i -> j (Mbps).
+  /// Estimated available bandwidth i -> j (Mbps), perturbed by a draw
+  /// from this prober's own sequential noise stream.
   double estimate(int i, int j);
+
+  /// The same estimate with the caller's standard-normal draw `z` as the
+  /// error term (callers that own a private noise stream).
+  double estimate(int i, int j, double z) const;
 
   /// Probe traffic for one estimate as a fraction of the measured path's
   /// available bandwidth (paper: < 2%).

@@ -65,6 +65,32 @@ double hash_gaussian(std::uint64_t h);
 double ou_noise(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
                 double t, double tau);
 
+/// A private counter-based random stream: draw d of stream (seed, a, b) is
+/// counter_hash(seed, a, b, d). The values depend on the key alone, never
+/// on what other streams drew, so tasks owning distinct keys can draw
+/// concurrently and still produce the same numbers at any worker count.
+class CounterStream {
+ public:
+  CounterStream(std::uint64_t seed, std::uint64_t a, std::uint64_t b)
+      : seed_(seed), a_(a), b_(b) {}
+
+  std::uint64_t next() { return counter_hash(seed_, a_, b_, draw_++); }
+
+  /// Standard normal variate.
+  double gaussian() { return hash_gaussian(next()); }
+
+  /// Uniform index in [0, bound) by multiply-shift (bias below
+  /// bound / 2^64). Requires bound > 0.
+  std::size_t below(std::size_t bound) {
+    return static_cast<std::size_t>(
+        (static_cast<unsigned __int128>(next()) * bound) >> 64);
+  }
+
+ private:
+  std::uint64_t seed_, a_, b_;
+  std::uint64_t draw_ = 0;
+};
+
 /// One substrate backend: the three true-quantity fields plus the dynamic
 /// clock. Field references stay valid for the backend's lifetime.
 class UnderlayBackend {

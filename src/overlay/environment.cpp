@@ -29,16 +29,6 @@ std::size_t Substrate::memory_bytes() const {
   return backend_->memory_bytes() + coords;
 }
 
-namespace {
-
-/// Packs a directed pair into one sparse-plane key.
-inline std::uint64_t pair_key(int i, int j) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)) << 32) |
-         static_cast<std::uint32_t>(j);
-}
-
-}  // namespace
-
 Environment::Environment(std::size_t n, std::uint64_t seed,
                          EnvironmentConfig config)
     : Environment(std::make_shared<Substrate>(n, seed, config), seed) {}
@@ -60,9 +50,11 @@ Environment::Environment(std::shared_ptr<Substrate> substrate,
     ping_smoothed_.assign(n * n, std::numeric_limits<double>::quiet_NaN());
     delay_drift_.assign(n * n, 0.0);
   } else {
-    // Sparse plane: ping EWMAs materialize per probed pair; drift is the
-    // procedural hash stream below (stationary moments calibrated to the
-    // dense OU process), so advance() needs no per-pair sweep.
+    // Sparse plane: ping EWMAs materialize per probed pair in the source's
+    // row; drift is the procedural hash stream below (stationary moments
+    // calibrated to the dense OU process), so advance() needs no per-pair
+    // sweep.
+    ping_rows_.resize(n);
     drift_seed_ = seed ^ 0xD21F7ull;
     drift_tau_ = config.delay_drift_reversion > 0.0
                      ? 1.0 / config.delay_drift_reversion
@@ -98,24 +90,57 @@ double Environment::true_delay(int i, int j) const {
   return base * (1.0 + drift(i, j));
 }
 
-double Environment::measure_delay_ping(int i, int j) {
+double& Environment::sparse_ewma(int i, int j) {
+  auto& slot = ping_rows_[static_cast<std::size_t>(i)];
+  if (!slot) slot = std::make_unique<PingRow>();
+  PingRow& row = *slot;
+  auto& entries = row.entries;
+  const auto by_dst = [](const PingEntry& e, std::int32_t dst) {
+    return e.dst < dst;
+  };
+  const auto sorted_end =
+      entries.begin() + static_cast<std::ptrdiff_t>(row.sorted);
+  const auto it = std::lower_bound(entries.begin(), sorted_end, j, by_dst);
+  if (it != sorted_end && it->dst == j) return it->ewma;
+  for (auto t = sorted_end; t != entries.end(); ++t) {
+    if (t->dst == j) return t->ewma;
+  }
+  if (entries.size() - row.sorted >= kPingTail) {
+    const auto dst_less = [](const PingEntry& a, const PingEntry& b) {
+      return a.dst < b.dst;
+    };
+    const auto tail = entries.begin() + static_cast<std::ptrdiff_t>(row.sorted);
+    std::sort(tail, entries.end(), dst_less);
+    std::inplace_merge(entries.begin(), tail, entries.end(), dst_less);
+    row.sorted = entries.size();
+  }
+  // Grow by a quarter, not the default doubling: rows only ever grow, so
+  // the slack would otherwise be a standing share of the plane.
+  if (entries.size() == entries.capacity()) {
+    entries.reserve(entries.size() + entries.size() / 4 + 4);
+  }
+  entries.push_back({j, std::numeric_limits<double>::quiet_NaN()});
+  return entries.back().ewma;
+}
+
+double Environment::measure_delay_ping(int i, int j,
+                                       net::CounterStream* jitter) {
   const auto& config = substrate_->config();
   // RTT/2 averaged over ping_samples probes; queueing noise only adds.
   const double rtt = true_delay(i, j) + true_delay(j, i);
   double sum = 0.0;
   for (int s = 0; s < config.ping_samples; ++s) {
-    sum += rtt + std::abs(rng_.normal(0.0, config.ping_jitter_ms));
+    const double noise = jitter != nullptr
+                             ? config.ping_jitter_ms * jitter->gaussian()
+                             : rng_.normal(0.0, config.ping_jitter_ms);
+    sum += rtt + std::abs(noise);
   }
   const double sample = sum / config.ping_samples / 2.0;
 
   double& smoothed =
-      sparse_plane_
-          ? ping_sparse_
-                .try_emplace(pair_key(i, j),
-                             std::numeric_limits<double>::quiet_NaN())
-                .first->second
-          : ping_smoothed_[static_cast<std::size_t>(i) * size() +
-                           static_cast<std::size_t>(j)];
+      sparse_plane_ ? sparse_ewma(i, j)
+                    : ping_smoothed_[static_cast<std::size_t>(i) * size() +
+                                     static_cast<std::size_t>(j)];
   if (std::isnan(smoothed)) {
     smoothed = sample;
   } else {
@@ -151,7 +176,13 @@ void Environment::advance(double dt) {
 }
 
 std::size_t Environment::probed_pairs() const {
-  if (sparse_plane_) return ping_sparse_.size();
+  if (sparse_plane_) {
+    std::size_t probed = 0;
+    for (const auto& row : ping_rows_) {
+      if (row) probed += row->entries.size();
+    }
+    return probed;
+  }
   std::size_t probed = 0;
   for (const double v : ping_smoothed_) {
     if (!std::isnan(v)) ++probed;
@@ -163,10 +194,11 @@ std::size_t Environment::plane_memory_bytes() const {
   if (!sparse_plane_) {
     return (ping_smoothed_.size() + delay_drift_.size()) * sizeof(double);
   }
-  // unordered_map node: key + value + next pointer, plus the bucket array.
-  return ping_sparse_.size() *
-             (sizeof(std::uint64_t) + sizeof(double) + sizeof(void*)) +
-         ping_sparse_.bucket_count() * sizeof(void*);
+  std::size_t bytes = ping_rows_.capacity() * sizeof(ping_rows_[0]);
+  for (const auto& row : ping_rows_) {
+    if (row) bytes += sizeof(PingRow) + row->entries.capacity() * sizeof(PingEntry);
+  }
+  return bytes;
 }
 
 }  // namespace egoist::overlay

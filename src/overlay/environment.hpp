@@ -13,14 +13,17 @@
 // §5 scale regime. Measurement planes follow suit: below
 // sparse_plane_threshold nodes on a dense backend they keep the historical
 // dense per-pair arrays (bit-exact); at scale, or on the procedural
-// backend, they hold sparse pair state keyed by the pairs actually probed
-// and derive per-pair delay drift procedurally — O(probed pairs), not
-// O(n^2).
+// backend, they hold sparse pair state — one row of (destination, EWMA)
+// entries per source, holding the pairs that source actually probed — and
+// derive per-pair delay drift procedurally: O(probed pairs), not O(n^2).
+// A pair's state is touched only through its source's row, so measurements
+// from distinct sources may run concurrently when the caller supplies each
+// source's noise stream.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "coord/vivaldi.hpp"
 #include "net/load.hpp"
@@ -139,13 +142,22 @@ class Environment {
   /// Ping estimates are smoothed across calls (EWMA, alpha = 0.3): nodes
   /// monitor links continuously and fold fresh samples into a running
   /// average rather than trusting a single epoch's probe.
-  double measure_delay_ping(int i, int j);
+  ///
+  /// `jitter` is the source of the per-sample queueing noise: nullptr draws
+  /// from this plane's own sequential stream (the historical behaviour);
+  /// a caller-owned stream makes the call touch no shared state beyond
+  /// pair (i, j), so calls for distinct sources i may run concurrently.
+  double measure_delay_ping(int i, int j, net::CounterStream* jitter = nullptr);
   double measure_delay_coords(int i, int j) const {
     return substrate_->coords().estimate_one_way(i, j);
   }
   /// EWMA-smoothed load as the node itself reports it.
   double measure_load(int node) const;
-  double measure_avail_bw(int i, int j) { return bw_probe_.estimate(i, j); }
+  /// `noise` as for measure_delay_ping: nullptr = the prober's own stream.
+  double measure_avail_bw(int i, int j, net::CounterStream* noise = nullptr) {
+    return noise != nullptr ? bw_probe_.estimate(i, j, noise->gaussian())
+                            : bw_probe_.estimate(i, j);
+  }
 
   /// Advances this plane (and, when it is the first plane to reach the new
   /// time, the shared substrate) by dt seconds: bandwidth cross traffic,
@@ -162,11 +174,30 @@ class Environment {
   /// Directed pairs this plane has pinged at least once.
   std::size_t probed_pairs() const;
 
-  /// Approximate bytes of per-pair measurement state (ping EWMAs + drift).
+  /// Bytes of per-pair measurement state (ping EWMAs + drift). For the
+  /// sparse plane: one row pointer per node, plus the header and allocated
+  /// entry capacity of every source row that probed something.
   std::size_t plane_memory_bytes() const;
 
  private:
   double drift(int i, int j) const;
+
+  /// Sparse plane: one source's probed pairs. entries[0, sorted) is
+  /// ordered by destination; later entries are a short unsorted tail that
+  /// is merged in once it reaches kPingTail, so a lookup is a binary search
+  /// plus a bounded scan and an insert costs O(row / kPingTail) amortized.
+  struct PingEntry {
+    std::int32_t dst;
+    double ewma;
+  };
+  struct PingRow {
+    std::vector<PingEntry> entries;
+    std::size_t sorted = 0;
+  };
+  static constexpr std::size_t kPingTail = 16;
+
+  /// The EWMA slot of pair (i, j) in the sparse plane (NaN when new).
+  double& sparse_ewma(int i, int j);
 
   std::shared_ptr<Substrate> substrate_;
   net::BandwidthProber bw_probe_;
@@ -177,9 +208,10 @@ class Environment {
   std::vector<double> ping_smoothed_;  ///< per-pair EWMA; NaN = no sample yet
   std::vector<double> delay_drift_;    ///< per-pair relative drift state
 
-  /// Sparse plane: EWMA state only for pairs actually probed; drift is a
-  /// pure function of (plane drift seed, i, j, time) — no per-pair state.
-  std::unordered_map<std::uint64_t, double> ping_sparse_;
+  /// Sparse plane: EWMA state only for pairs actually probed, one row per
+  /// source (allocated at its first probe); drift is a pure function of
+  /// (plane drift seed, i, j, time) — no per-pair state.
+  std::vector<std::unique_ptr<PingRow>> ping_rows_;
   std::uint64_t drift_seed_ = 0;
   double drift_amp_ = 0.0;
   double drift_tau_ = 1.0;

@@ -3,11 +3,17 @@
 // EgoistNetwork::run_epoch splits a parallel epoch (config.epoch_workers
 // >= 1, BR/HybridBR policies) into three phases:
 //
-//   snapshot  — sequential, ascending node order: all RNG draws (sample
-//               pools, landmark choices) and all stateful measurements
-//               (ping EWMAs, noise streams) happen here, captured into an
-//               EpochStore; the decision graph is frozen and the shared
-//               path-engine base trees are prepared.
+//   snapshot  — all RNG draws (sample pools, landmark choices) and all
+//               stateful measurements (ping EWMAs, noise streams) happen
+//               here, captured into an EpochStore; the decision graph is
+//               frozen and the shared path-engine base trees are
+//               prepared. Dense mode runs it sequentially in ascending
+//               node order. Scale mode runs it on the workers: the
+//               landmark traversals one column per task, then sampling
+//               and measurement one node per task, each node drawing from
+//               its own counter-based streams (seed, node, turn) and
+//               writing only its own pool slot and ping-plane row; the
+//               landmark draw, decision graph and penalty stay serial.
 //   evaluate  — parallel: each node's best response is computed against
 //               the immutable epoch-start snapshot. A task reads only
 //               frozen state plus its own EpochStore rows and writes only
@@ -46,6 +52,8 @@ struct EpochWorkspace {
   /// node's pool before evaluation, restored to defaults after, so each
   /// evaluation costs O(pool), not O(n).
   std::vector<double> direct;
+  /// Scale-mode snapshot: the pool being sampled.
+  std::vector<graph::NodeId> pool;
 };
 
 class EpochEngine {

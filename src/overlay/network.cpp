@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -11,7 +12,6 @@
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
 #include "graph/shortest_path.hpp"
-#include "graph/widest_path.hpp"
 #include "overlay/epoch_engine.hpp"
 #include "overlay/scoring.hpp"
 #include "util/profiler.hpp"
@@ -39,7 +39,75 @@ std::size_t donated_capacity(const OverlayConfig& config, std::size_t n) {
   return std::min(config.donated_links, n);
 }
 
+/// Kinds of a node's private scale-mode streams (mixed into the seed).
+constexpr std::uint64_t kSampleStream = 0x5A3F1E0C0FFEEull;
+constexpr std::uint64_t kNoiseStream = 0x0015E5EED0ull;
+
+/// Scatters pool-indexed measurements (values[i] for ids[i]) into an
+/// id-indexed row that reads `unmeasured` everywhere else, and restores
+/// the touched entries on destruction: O(pool) per use instead of an O(n)
+/// fill. `ids` must outlive the row.
+class ScatteredRow {
+ public:
+  ScatteredRow(std::vector<double>& buffer, std::size_t n, double unmeasured,
+               std::span<const NodeId> ids, std::span<const double> values)
+      : buffer_(buffer), ids_(ids), unmeasured_(unmeasured) {
+    if (buffer_.size() != n) buffer_.assign(n, unmeasured);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      buffer_[static_cast<std::size_t>(ids[i])] = values[i];
+    }
+  }
+  ~ScatteredRow() {
+    for (NodeId id : ids_) buffer_[static_cast<std::size_t>(id)] = unmeasured_;
+  }
+  ScatteredRow(const ScatteredRow&) = delete;
+  ScatteredRow& operator=(const ScatteredRow&) = delete;
+
+  const std::vector<double>& row() const { return buffer_; }
+
+ private:
+  std::vector<double>& buffer_;
+  std::span<const NodeId> ids_;
+  double unmeasured_;
+};
+
 }  // namespace
+
+bool sample_candidates(std::span<const NodeId> online, NodeId self,
+                       std::size_t count, net::CounterStream& stream,
+                       std::vector<NodeId>& pool) {
+  const bool self_online =
+      std::binary_search(online.begin(), online.end(), self);
+  const std::size_t taken = pool.size() + (self_online ? 1 : 0);
+  const std::size_t eligible =
+      online.size() > taken ? online.size() - taken : 0;
+  const std::size_t m = std::min(count, eligible);
+  const auto in_pool = [&pool](NodeId v) {
+    return std::find(pool.begin(), pool.end(), v) != pool.end();
+  };
+  if (2 * m < eligible) {
+    // Rejection: more than half of the online ids are eligible, so a draw
+    // succeeds with probability > 1/2 until all m are in.
+    const std::size_t target = pool.size() + m;
+    while (pool.size() < target) {
+      const NodeId v = online[stream.below(online.size())];
+      if (v != self && !in_pool(v)) pool.push_back(v);
+    }
+    return false;
+  }
+  // Enumeration: the sample is a large share of what is left.
+  std::vector<NodeId> candidates;
+  candidates.reserve(eligible);
+  for (NodeId v : online) {
+    if (v != self && !in_pool(v)) candidates.push_back(v);
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    std::swap(candidates[i],
+              candidates[i + stream.below(candidates.size() - i)]);
+    pool.push_back(candidates[i]);
+  }
+  return true;
+}
 
 EgoistNetwork::EgoistNetwork(Environment& env, OverlayConfig config)
     : env_(env),
@@ -52,6 +120,7 @@ EgoistNetwork::EgoistNetwork(Environment& env, OverlayConfig config)
   if (config_.k == 0 || config_.k >= env.size()) {
     throw std::invalid_argument("need 0 < k < n");
   }
+  stream_turn_.assign(env.size(), 0);
   engine_.set_workers(config_.path_workers);  // throws on negative
   if (config_.epoch_workers < 0) {
     throw std::invalid_argument("epoch_workers must be >= 0");
@@ -176,18 +245,7 @@ void EgoistNetwork::set_online(int node, bool online) {
     // its full policy wiring is computed at its next wiring-epoch turn.
     // HybridBR additionally receives its donated backbone links right away
     // (the backbone is maintained aggressively, below).
-    std::vector<NodeId> others;
-    for (NodeId u : online_nodes()) {
-      if (u != node) others.push_back(u);
-    }
-    if (!others.empty()) {
-      const NodeId bootstrap = others[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(others.size()) - 1))];
-      const auto direct = scale_mode()
-                              ? measure_pool(node, {bootstrap})
-                              : measure_direct(node);
-      apply_wiring(node, {bootstrap}, direct);
-    }
+    connect_bootstrap(node);
   }
   // The donated backbone is monitored aggressively (heartbeats) and spliced
   // immediately on membership changes; BR links wait for the wiring epoch.
@@ -228,73 +286,84 @@ std::span<const NodeId> EgoistNetwork::donated(int node) const {
   return store_.donated(static_cast<std::size_t>(node));
 }
 
+double EgoistNetwork::unmeasured() const {
+  return config_.metric == Metric::kBandwidth ? 0.0 : graph::kUnreachable;
+}
+
+double EgoistNetwork::measure_link(int node, NodeId v,
+                                   net::CounterStream* noise) {
+  switch (config_.metric) {
+    case Metric::kDelayPing:
+      return env_.measure_delay_ping(node, v, noise);
+    case Metric::kDelayCoords:
+      return env_.measure_delay_coords(node, v);
+    case Metric::kNodeLoad:
+      // All outgoing links of a node carry the node's own measured load
+      // (§4.1), so the direct cost does not depend on the target.
+      return env_.measure_load(node);
+    case Metric::kBandwidth:
+      return env_.measure_avail_bw(node, v, noise);
+  }
+  return unmeasured();
+}
+
 std::vector<double> EgoistNetwork::measure_direct(int node) {
   // Probing everyone is the dense-mode behavior; the ascending online set
   // walks the same pairs in the same order as the historical per-id loop,
   // so the measurement-noise streams are untouched.
-  return measure_pool(node, online_nodes());
-}
-
-std::vector<double> EgoistNetwork::measure_pool(int node,
-                                                const std::vector<NodeId>& pool) {
-  const std::size_t n = store_.size();
-  std::vector<double> direct(
-      n, config_.metric == Metric::kBandwidth ? 0.0 : graph::kUnreachable);
-  for (NodeId v : pool) {
-    if (!store_.is_online(static_cast<std::size_t>(v)) || v == node) continue;
-    switch (config_.metric) {
-      case Metric::kDelayPing:
-        direct[static_cast<std::size_t>(v)] = env_.measure_delay_ping(node, v);
-        break;
-      case Metric::kDelayCoords:
-        direct[static_cast<std::size_t>(v)] = env_.measure_delay_coords(node, v);
-        break;
-      case Metric::kNodeLoad:
-        // All outgoing links of a node carry the node's own measured load
-        // (§4.1), so the direct cost does not depend on the target.
-        direct[static_cast<std::size_t>(v)] = env_.measure_load(node);
-        break;
-      case Metric::kBandwidth:
-        direct[static_cast<std::size_t>(v)] = env_.measure_avail_bw(node, v);
-        break;
+  std::vector<double> direct(store_.size(), unmeasured());
+  for (NodeId v : store_.online_list()) {
+    if (v != node) {
+      direct[static_cast<std::size_t>(v)] = measure_link(node, v, nullptr);
     }
   }
   return direct;
 }
 
-std::vector<NodeId> EgoistNetwork::sample_pool(int node) {
+void EgoistNetwork::measure_pool(int node, std::span<const NodeId> pool,
+                                 std::span<double> out) {
+  std::optional<net::CounterStream> noise;
+  if (scale_mode()) noise.emplace(open_stream(node, kNoiseStream));
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const NodeId v = pool[i];
+    out[i] = v == node || !store_.is_online(static_cast<std::size_t>(v))
+                 ? unmeasured()
+                 : measure_link(node, v, noise ? &*noise : nullptr);
+  }
+}
+
+net::CounterStream EgoistNetwork::open_stream(NodeId node, std::uint64_t kind) {
+  const std::uint32_t turn = stream_turn_[static_cast<std::size_t>(node)]++;
+  return net::CounterStream(config_.seed ^ kind,
+                            static_cast<std::uint64_t>(node), turn);
+}
+
+std::size_t EgoistNetwork::pool_capacity() const {
+  return store_.wiring_capacity() + store_.donated_capacity() +
+         config_.br_sample;
+}
+
+void EgoistNetwork::sample_pool(int node, std::vector<NodeId>& pool) {
   // The node always re-measures its committed links (current wiring and
   // donated backbone — the sticky search needs their fresh costs), plus a
   // fresh random sample of br_sample other online nodes.
-  std::vector<NodeId> pool;
+  pool.clear();
   auto add = [&](NodeId v) {
     if (v == node || !store_.is_online(static_cast<std::size_t>(v))) return;
     if (std::find(pool.begin(), pool.end(), v) == pool.end()) pool.push_back(v);
   };
   for (NodeId v : store_.wiring(static_cast<std::size_t>(node))) add(v);
   for (NodeId v : store_.donated(static_cast<std::size_t>(node))) add(v);
-
-  std::vector<NodeId> others;
-  for (NodeId v : online_nodes()) {
-    if (v != node &&
-        std::find(pool.begin(), pool.end(), v) == pool.end()) {
-      others.push_back(v);
-    }
-  }
-  const std::size_t m = std::min(config_.br_sample, others.size());
-  for (NodeId v : rng_.sample_without_replacement(
-           std::span<const NodeId>(others), m)) {
-    pool.push_back(v);
-  }
+  auto stream = open_stream(node, kSampleStream);
+  sample_candidates(store_.online_list(), node, config_.br_sample, stream,
+                    pool);
   std::sort(pool.begin(), pool.end());
-  return pool;
 }
 
-void EgoistNetwork::refresh_landmarks() {
-  const auto online = online_nodes();
+void EgoistNetwork::refresh_landmarks(EpochEngine* workers) {
+  const auto online = store_.online_list();
   const std::size_t t = std::min(config_.br_landmarks, online.size());
-  auto landmarks = rng_.sample_without_replacement(
-      std::span<const NodeId>(online), t);
+  auto landmarks = rng_.sample_without_replacement(online, t);
   std::sort(landmarks.begin(), landmarks.end());
 
   landmark_state_.landmarks = std::move(landmarks);
@@ -307,33 +376,61 @@ void EgoistNetwork::refresh_landmarks() {
   // One reverse traversal of the announced overlay per landmark: distances
   // *to* a landmark are distances *from* it in the reversed graph, so L
   // traversals serve every node's evaluation this epoch.
+  // The reversed graph is rebuilt in place (its rows keep their capacity
+  // across epochs).
   const std::size_t n = store_.size();
-  graph::Digraph reversed(n);
+  auto& reversed = landmark_state_.reversed;
+  if (reversed.node_count() != n) reversed = graph::Digraph(n);
   for (std::size_t u = 0; u < n; ++u) {
+    reversed.clear_out_edges(static_cast<NodeId>(u));
     reversed.set_active(static_cast<NodeId>(u), store_.is_online(u));
   }
-  for (std::size_t u = 0; u < n; ++u) {
-    if (!store_.is_online(u)) continue;
-    for (const auto& e : announced_.out_edges(static_cast<NodeId>(u))) {
-      reversed.set_edge(e.to, static_cast<NodeId>(u), e.weight);
+  for (NodeId u : store_.online_list()) {
+    for (const auto& e : announced_.out_edges(u)) {
+      reversed.set_edge(e.to, u, e.weight);
     }
   }
 
+  // Scale mode has no other use for the path engine: it holds the CSR
+  // snapshot of the reversed graph, whose const scratch queries may run
+  // concurrently. Traversal c fills row c of the landmark-major scratch
+  // (contiguous, its own); a blocked transpose over disjoint node ranges
+  // then fills the node-major matrix the objectives read. Writing the
+  // node-major columns directly would have the workers share cache lines.
+  engine_.rebuild(reversed);
+  const graph::PathEngine& snapshot = engine_;
   const bool widest = config_.metric == Metric::kBandwidth;
-  landmark_state_.dist.reshape(n, landmark_state_.landmarks.size());
-  for (std::size_t c = 0; c < landmark_state_.landmarks.size(); ++c) {
+  const std::size_t columns = landmark_state_.landmarks.size();
+  auto& by_landmark = landmark_state_.by_landmark;
+  auto& dist = landmark_state_.dist;
+  by_landmark.reshape(columns, n);
+  dist.reshape(n, columns);
+  const auto traverse = [&](std::size_t c, EpochWorkspace& ws) {
     const NodeId l = landmark_state_.landmarks[c];
     if (widest) {
-      const auto tree = graph::widest_paths(reversed, l);
-      for (std::size_t v = 0; v < n; ++v) {
-        landmark_state_.dist(v, c) = tree.bottleneck[v];
-      }
+      snapshot.widest_from(l, graph::kNoExclude, by_landmark.row(c), ws.query);
     } else {
-      const auto tree = graph::dijkstra(reversed, l);
-      for (std::size_t v = 0; v < n; ++v) {
-        landmark_state_.dist(v, c) = tree.dist[v];
+      snapshot.shortest_from(l, graph::kNoExclude, by_landmark.row(c),
+                             ws.query);
+    }
+  };
+  constexpr std::size_t kBlock = 256;
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  const auto transpose = [&](std::size_t b, EpochWorkspace&) {
+    const std::size_t end = std::min(n, (b + 1) * kBlock);
+    for (std::size_t c = 0; c < columns; ++c) {
+      for (std::size_t v = b * kBlock; v < end; ++v) {
+        dist(v, c) = by_landmark(c, v);
       }
     }
+  };
+  if (workers != nullptr) {
+    workers->run(columns, traverse);
+    workers->run(blocks, transpose);
+  } else {
+    EpochWorkspace ws;
+    for (std::size_t c = 0; c < columns; ++c) traverse(c, ws);
+    for (std::size_t b = 0; b < blocks; ++b) transpose(b, ws);
   }
   landmark_state_.valid = true;
   landmark_state_.evals_left = online_count();
@@ -348,8 +445,13 @@ void EgoistNetwork::join_sampled(int node) {
     const auto backbone = backbone_links(node);
     store_.set_donated(static_cast<std::size_t>(node), backbone);
   }
-  const auto pool = sample_pool(node);
-  auto direct = measure_pool(node, pool);
+  sample_pool(node, pool_scratch_);
+  const std::vector<NodeId>& pool = pool_scratch_;
+  values_scratch_.resize(pool.size());
+  measure_pool(node, pool, values_scratch_);
+  const ScatteredRow measured(direct_scratch_, store_.size(), unmeasured(),
+                              pool, values_scratch_);
+  const std::vector<double>& direct = measured.row();
 
   const auto donated = store_.donated_vec(static_cast<std::size_t>(node));
   std::vector<NodeId> free_pool;
@@ -379,8 +481,13 @@ bool EgoistNetwork::evaluate_node_sampled(int node) {
   }
   if (landmark_state_.evals_left > 0) --landmark_state_.evals_left;
 
-  const auto pool = sample_pool(node);
-  auto direct = measure_pool(node, pool);
+  sample_pool(node, pool_scratch_);
+  const std::vector<NodeId>& pool = pool_scratch_;
+  values_scratch_.resize(pool.size());
+  measure_pool(node, pool, values_scratch_);
+  const ScatteredRow measured(direct_scratch_, store_.size(), unmeasured(),
+                              pool, values_scratch_);
+  const std::vector<double>& direct = measured.row();
   const auto current = store_.wiring_vec(static_cast<std::size_t>(node));
 
   std::vector<NodeId> targets;
@@ -477,8 +584,12 @@ const graph::Digraph& EgoistNetwork::decision_graph() {
 double EgoistNetwork::unreachable_penalty(const graph::Digraph& decision) const {
   // Rescanning every announced edge once per node per epoch is pure waste;
   // run_epoch caches the scan's result for the epoch.
-  return epoch_penalty_ ? *epoch_penalty_
-                        : core::default_unreachable_penalty(decision);
+  return epoch_penalty_ ? *epoch_penalty_ : scan_penalty(decision);
+}
+
+double EgoistNetwork::scan_penalty(const graph::Digraph& decision) const {
+  return core::default_unreachable_penalty(decision,
+                                           /*finite_only=*/scale_mode());
 }
 
 void EgoistNetwork::apply_wiring(int node, std::vector<NodeId> wiring,
@@ -564,15 +675,20 @@ bool EgoistNetwork::node_needs_evaluation(int node) {
   const auto links = store_.wiring(static_cast<std::size_t>(node));
   if (links.empty()) return false;
   drift_links_scratch_.assign(links.begin(), links.end());
-  const auto fresh = measure_pool(node, drift_links_scratch_);
-  return dirty_.drift_exceeded(static_cast<std::size_t>(node), links, fresh);
+  values_scratch_.resize(links.size());
+  measure_pool(node, drift_links_scratch_, values_scratch_);
+  const ScatteredRow fresh(direct_scratch_, store_.size(), unmeasured(),
+                           drift_links_scratch_, values_scratch_);
+  return dirty_.drift_exceeded(static_cast<std::size_t>(node), links,
+                               fresh.row());
 }
 
 std::vector<NodeId> EgoistNetwork::backbone_links(int node) const {
-  const auto ring = online_nodes();
+  const auto ring = store_.online_list();
   std::vector<NodeId> links;
-  const auto it = std::find(ring.begin(), ring.end(), static_cast<NodeId>(node));
-  if (it == ring.end() || ring.size() < 2) return links;
+  const auto it =
+      std::lower_bound(ring.begin(), ring.end(), static_cast<NodeId>(node));
+  if (it == ring.end() || *it != node || ring.size() < 2) return links;
 
   if (config_.backbone == Backbone::kMst) {
     // Young et al. [43]-style backbone: a minimum spanning tree over the
@@ -581,7 +697,8 @@ std::vector<NodeId> EgoistNetwork::backbone_links(int node) const {
     // ablation bench. Each node donates links to its tree neighbors (up to
     // its donated budget; high-degree tree nodes are truncated).
     const auto tree = graph::minimum_spanning_tree(
-        ring, [this](NodeId a, NodeId b) { return env_.true_delay(a, b); });
+        std::vector<NodeId>(ring.begin(), ring.end()),
+        [this](NodeId a, NodeId b) { return env_.true_delay(a, b); });
     const auto adjacency = tree_adjacency(store_.size(), tree);
     for (NodeId v : adjacency[static_cast<std::size_t>(node)]) {
       if (links.size() >= config_.donated_links) break;
@@ -626,10 +743,45 @@ void EgoistNetwork::refresh_backbone() {
         combined.push_back(w);
       }
     }
-    const auto direct =
-        scale_mode() ? measure_pool(v, combined) : measure_direct(v);
-    apply_wiring(v, std::move(combined), direct);
+    if (!scale_mode()) {
+      const auto direct = measure_direct(v);
+      apply_wiring(v, std::move(combined), direct);
+      continue;
+    }
+    values_scratch_.resize(combined.size());
+    measure_pool(v, combined, values_scratch_);
+    const ScatteredRow direct(direct_scratch_, store_.size(), unmeasured(),
+                              combined, values_scratch_);
+    apply_wiring(v, combined, direct.row());
   }
+}
+
+void EgoistNetwork::connect_bootstrap(int node) {
+  const auto online = store_.online_list();
+  if (online.size() < 2) return;  // nobody to connect to but itself
+  if (!scale_mode()) {
+    // The historical draw: uniform over the online others from rng_, then
+    // a full measurement row — fixed-seed figures depend on both.
+    const auto pos = static_cast<std::int64_t>(
+        std::lower_bound(online.begin(), online.end(),
+                         static_cast<NodeId>(node)) -
+        online.begin());
+    std::int64_t pick =
+        rng_.uniform_int(0, static_cast<std::int64_t>(online.size()) - 2);
+    if (pick >= pos) ++pick;
+    const NodeId bootstrap = online[static_cast<std::size_t>(pick)];
+    apply_wiring(node, {bootstrap}, measure_direct(node));
+    return;
+  }
+  // Scale mode: one draw from the node's sample stream, one probed pair.
+  pool_scratch_.clear();
+  auto stream = open_stream(node, kSampleStream);
+  sample_candidates(online, node, 1, stream, pool_scratch_);
+  values_scratch_.resize(pool_scratch_.size());
+  measure_pool(node, pool_scratch_, values_scratch_);
+  const ScatteredRow direct(direct_scratch_, store_.size(), unmeasured(),
+                            pool_scratch_, values_scratch_);
+  apply_wiring(node, pool_scratch_, direct.row());
 }
 
 std::vector<NodeId> EgoistNetwork::choose_wiring(int node,
@@ -877,29 +1029,23 @@ void EgoistNetwork::evaluate_proposal(NodeId v, EpochWorkspace& ws,
   double current_cost = 0.0;
   core::BestResponseResult br;
   if (scale_mode()) {
-    const auto ids = epoch_store_.pool_ids(node);
-    const auto values = epoch_store_.pool_values(node);
+    const auto& snapshot = std::as_const(epoch_store_);
+    const auto ids = snapshot.pool_ids(node);
     // Rebuild the node's sparse measurement row in the full-size workspace
     // buffer, restore after the search: O(pool) per node, not O(n).
-    const double unmeasured = maximize ? 0.0 : graph::kUnreachable;
-    if (ws.direct.size() != n) ws.direct.assign(n, unmeasured);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      ws.direct[static_cast<std::size_t>(ids[i])] = values[i];
-    }
+    const ScatteredRow direct(ws.direct, n, unmeasured(), ids,
+                              snapshot.pool_values(node));
     std::vector<NodeId> targets;
     targets.reserve(landmark_state_.landmarks.size());
     for (NodeId l : landmark_state_.landmarks) {
       if (l != v) targets.push_back(l);
     }
     const core::LandmarkObjective objective(
-        v, std::vector<NodeId>(ids.begin(), ids.end()), ws.direct,
+        v, std::vector<NodeId>(ids.begin(), ids.end()), direct.row(),
         &landmark_state_.dist, &landmark_state_.column, std::move(targets),
         maximize, maximize ? 0.0 : penalty);
     current_cost = objective.cost(current);
     br = core::best_response(objective, free_k, options);
-    for (NodeId id : ids) {
-      ws.direct[static_cast<std::size_t>(id)] = unmeasured;
-    }
   } else {
     const auto& snapshot = std::as_const(epoch_store_);
     const auto row = snapshot.direct_row(node);
@@ -971,10 +1117,10 @@ int EgoistNetwork::run_epoch_pipeline() {
   }
   total_evaluations_ += active.size();
 
-  // --- Snapshot (sequential, ascending node order) ---
+  // --- Snapshot ---
   // Everything stateful lives here: RNG draws (sample pools, landmarks) and
   // measurement streams (ping EWMAs, noise) advance exactly once, in a
-  // worker-count-independent order. The decision graph is frozen at the
+  // worker-count-independent way. The decision graph is frozen at the
   // boundary — in audit mode it is audited once here, not once per node.
   // With nothing active, the epoch planes, landmark refresh, and engine
   // snapshot are all skipped — an all-clean epoch costs O(n).
@@ -983,21 +1129,35 @@ int EgoistNetwork::run_epoch_pipeline() {
     EGOIST_PROFILE_SCOPE("snapshot");
     decision = &decision_graph();
     if (!maximize) {
-      epoch_penalty_ = core::default_unreachable_penalty(*decision);
+      epoch_penalty_ = scan_penalty(*decision);
     }
     if (scale_mode()) {
       if (!active.empty()) {
-        refresh_landmarks();
-        epoch_store_.begin_sparse(n, store_.wiring_capacity());
-        std::vector<double> values;
-        for (NodeId v : active) {
-          const auto pool = sample_pool(v);
-          const auto direct = measure_pool(v, pool);
-          values.clear();
-          for (NodeId p : pool) {
-            values.push_back(direct[static_cast<std::size_t>(p)]);
-          }
-          epoch_store_.add_pool(static_cast<std::size_t>(v), pool, values);
+        // Scale mode runs on the workers. The landmark draw is serial
+        // (rng_); each traversal writes one column. Each node then samples
+        // and measures from its own counter-based streams, writing only its
+        // pool slot, its ping-plane row and its turn counter — so the
+        // result is the same at any worker count.
+        {
+          EGOIST_PROFILE_SCOPE("landmarks");
+          refresh_landmarks(&engine);
+        }
+        epoch_store_.begin_sparse(n, store_.wiring_capacity(),
+                                  pool_capacity());
+        {
+          EGOIST_PROFILE_SCOPE("sample");
+          engine.run(active.size(), [&](std::size_t i, EpochWorkspace& ws) {
+            sample_pool(active[i], ws.pool);
+            epoch_store_.set_pool(static_cast<std::size_t>(active[i]), ws.pool);
+          });
+        }
+        {
+          EGOIST_PROFILE_SCOPE("measure");
+          engine.run(active.size(), [&](std::size_t i, EpochWorkspace&) {
+            const auto v = static_cast<std::size_t>(active[i]);
+            measure_pool(active[i], epoch_store_.pool_ids(v),
+                         epoch_store_.pool_values(v));
+          });
         }
       }
     } else if (!active.empty()) {
@@ -1035,23 +1195,19 @@ int EgoistNetwork::run_epoch_pipeline() {
   int rewired = 0;
   {
     EGOIST_PROFILE_SCOPE("merge");
-    const double unmeasured = maximize ? 0.0 : graph::kUnreachable;
-    std::vector<double> sparse_direct;
+    const auto& snapshot = std::as_const(epoch_store_);
     for (NodeId v : active) {
       const auto node = static_cast<std::size_t>(v);
       std::span<const double> direct;
-      if (epoch_store_.dense()) {
-        direct = std::as_const(epoch_store_).direct_row(node);
+      std::optional<ScatteredRow> sparse;
+      if (snapshot.dense()) {
+        direct = snapshot.direct_row(node);
       } else {
-        // Reconstruct the sparse measurement row; every announced link is a
-        // pool member (kept and proposed wirings are pool subsets).
-        sparse_direct.assign(n, unmeasured);
-        const auto ids = epoch_store_.pool_ids(node);
-        const auto values = epoch_store_.pool_values(node);
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          sparse_direct[static_cast<std::size_t>(ids[i])] = values[i];
-        }
-        direct = sparse_direct;
+        // Scatter the sparse measurement row, O(pool); every announced link
+        // is a pool member (kept and proposed wirings are pool subsets).
+        sparse.emplace(direct_scratch_, n, unmeasured(),
+                       snapshot.pool_ids(node), snapshot.pool_values(node));
+        direct = sparse->row();
       }
       if (epoch_store_.adopted(node)) {
         const std::vector<NodeId> old_wiring = store_.wiring_vec(node);
@@ -1081,7 +1237,7 @@ int EgoistNetwork::run_epoch() {
   // Cache the unreachable-fold penalty for this epoch (bandwidth's fold
   // has none): one edge scan instead of one per node.
   if (config_.metric != Metric::kBandwidth) {
-    epoch_penalty_ = core::default_unreachable_penalty(decision_graph());
+    epoch_penalty_ = scan_penalty(decision_graph());
   }
   // Epoch-shared engine snapshot: taken once here, then patched after each
   // node re-announces (see evaluate_node), so the shared base trees carry

@@ -26,6 +26,7 @@
 #include "core/objective.hpp"
 #include "graph/digraph.hpp"
 #include "graph/path_engine.hpp"
+#include "net/underlay.hpp"
 #include "overlay/config.hpp"
 #include "overlay/dirty_tracker.hpp"
 #include "overlay/environment.hpp"
@@ -38,6 +39,18 @@ using graph::NodeId;
 
 class EpochEngine;
 struct EpochWorkspace;
+
+/// The §5 scale-mode candidate sampler. Appends to `pool` min(count,
+/// eligible) distinct ids drawn uniformly from `online` (ascending), never
+/// `self` nor an id already in `pool`; `eligible` is the number of such
+/// ids (pool entries must themselves be online). Draws by rejection —
+/// O(count) expected draws, each checked against the pool by a linear
+/// scan — unless count is at least half of the eligible ids; then it
+/// enumerates them and runs a partial Fisher-Yates instead. Returns true
+/// when it enumerated.
+bool sample_candidates(std::span<const NodeId> online, NodeId self,
+                       std::size_t count, net::CounterStream& stream,
+                       std::vector<NodeId>& pool);
 
 /// Observation hooks the hosting layer installs to mirror engine activity
 /// as typed events (host::OverlayHost's subscription API). Both optional;
@@ -77,12 +90,15 @@ class EgoistNetwork {
   /// seeing the re-wirings of the nodes before it (nodes are not
   /// synchronized, §4.2). With epoch_workers >= 1 and a BR/HybridBR policy,
   /// the epoch runs as the deterministic parallel pipeline instead:
-  /// snapshot (sequential — all measurements and RNG draws, ascending node
-  /// order), evaluate (parallel — every node best-responds to the immutable
-  /// epoch-start state), merge (sequential — adopted re-wirings applied and
-  /// hooks fired in ascending node order). The pipeline trajectory is
-  /// bit-identical at any worker count. Returns the number of nodes that
-  /// changed their wiring this epoch.
+  /// snapshot (all measurements and RNG draws — sequential in ascending
+  /// node order in dense mode; in scale mode the landmark traversals, the
+  /// pool sampling and the measurements run on the workers, each node
+  /// drawing from its own counter-based streams), evaluate (parallel —
+  /// every node best-responds to the immutable epoch-start state), merge
+  /// (sequential — adopted re-wirings applied and hooks fired in ascending
+  /// node order). The pipeline trajectory is bit-identical at any worker
+  /// count. Returns the number of nodes that changed their wiring this
+  /// epoch.
   int run_epoch();
 
   /// Evaluates a single node's wiring (the staggered, unsynchronized mode:
@@ -144,6 +160,11 @@ class EgoistNetwork {
   /// host::WiringSnapshot so detached reads score identically.
   std::vector<std::vector<double>> score_preferences() const;
 
+  /// The planes of the last pipeline epoch (measurement snapshot and
+  /// proposals), for telemetry and determinism checks. Empty before the
+  /// first pipeline epoch.
+  const EpochStore& epoch_store() const { return epoch_store_; }
+
   /// Installs (or clears, with default-constructed hooks) the observers.
   void set_hooks(NetworkHooks hooks) { hooks_ = std::move(hooks); }
 
@@ -155,8 +176,16 @@ class EgoistNetwork {
   bool evaluate_node(int node);
 
   /// Measures the direct metric cost/value from `node` to every online
-  /// other (ping / coords / own load / bandwidth probe).
+  /// other (ping / coords / own load / bandwidth probe), indexed by id —
+  /// the dense-mode row, drawn from the measurement plane's own streams.
   std::vector<double> measure_direct(int node);
+
+  /// One measurement of link node -> v; `noise` as for
+  /// Environment::measure_delay_ping (nullptr = the plane's own streams).
+  double measure_link(int node, NodeId v, net::CounterStream* noise);
+
+  /// Value of a link nobody measured: kUnreachable, or 0 for bandwidth.
+  double unmeasured() const;
 
   /// Donated backbone links for `node`: +/- ring offsets over the online
   /// set (k2/2 bidirectional cycles, §3.3).
@@ -187,24 +216,50 @@ class EgoistNetwork {
   /// rescanning every edge once per node), a fresh scan otherwise.
   double unreachable_penalty(const graph::Digraph& decision) const;
 
+  /// The fresh scan behind unreachable_penalty. Scale mode skips
+  /// non-finite weights: a link to a departed node is re-announced at its
+  /// unmeasured (infinite) cost until its holder re-wires, an infinite
+  /// penalty makes the BR(eps) test compare inf - inf = NaN, and NaN
+  /// adopted every differing proposal of a node with an unreachable
+  /// landmark — whole-overlay re-wiring epochs. Dense mode keeps the
+  /// historical scan, which the figure outputs depend on.
+  double scan_penalty(const graph::Digraph& decision) const;
+
   /// Per-policy choice of new wiring. `direct` comes from measure_direct.
   std::vector<NodeId> choose_wiring(int node, const std::vector<double>& direct);
 
   /// --- §5 scale mode (config_.br_sample > 0) ---
   bool scale_mode() const { return config_.br_sample > 0; }
 
-  /// Candidate pool for a scale-mode evaluation: the node's current wiring
-  /// and donated links plus a fresh random sample of br_sample others.
-  std::vector<NodeId> sample_pool(int node);
+  /// The next turn of `node`'s private counter-based stream of kind
+  /// `kind`: keyed by (seed, node, turn), with the node's turn counter
+  /// advanced. Only the node's own task may call this, which is what makes
+  /// scale-mode sampling and measurement race-free and worker-count
+  /// invariant.
+  net::CounterStream open_stream(NodeId node, std::uint64_t kind);
 
-  /// Direct measurement restricted to `pool` (the only pairs the node
-  /// probes — what keeps the sparse measurement plane at O(probed pairs)).
-  std::vector<double> measure_pool(int node, const std::vector<NodeId>& pool);
+  /// Candidate pool for a scale-mode evaluation, ascending, into `pool`:
+  /// the node's current wiring and donated links plus br_sample others
+  /// from sample_candidates on a fresh turn of its sample stream. O(pool).
+  void sample_pool(int node, std::vector<NodeId>& pool);
+
+  /// Direct measurement restricted to `pool`, out[i] for pool[i] (self and
+  /// offline members read unmeasured()) — the only pairs the node probes.
+  /// Scale mode draws the noise from a fresh turn of the node's private
+  /// stream, so distinct nodes may measure concurrently; dense mode draws
+  /// from the measurement plane's own sequential streams.
+  void measure_pool(int node, std::span<const NodeId> pool,
+                    std::span<double> out);
+
+  /// Upper bound of a scale-mode pool: committed links plus the sample.
+  std::size_t pool_capacity() const;
 
   /// (Re)computes the epoch-shared landmark state: samples br_landmarks
-  /// online destinations and runs one reverse traversal of the announced
-  /// graph per landmark (shortest for delay/load, widest for bandwidth).
-  void refresh_landmarks();
+  /// online destinations (sequentially, from rng_) and runs one reverse
+  /// traversal of the announced graph per landmark (shortest for
+  /// delay/load, widest for bandwidth) — one column per task on `workers`
+  /// when given, in a loop otherwise.
+  void refresh_landmarks(EpochEngine* workers = nullptr);
 
   /// Scale-mode node evaluation (sampled candidates x landmark targets);
   /// same BR(eps) adoption rule and hooks as the dense path.
@@ -212,6 +267,10 @@ class EgoistNetwork {
 
   /// Scale-mode bootstrap wiring: k closest/widest of a fresh sample.
   void join_sampled(int node);
+
+  /// A (re)joining node's single bootstrap link (§3.1). Scale mode draws
+  /// the bootstrap with sample_candidates and measures that one pair.
+  void connect_bootstrap(int node);
 
   /// Builds the metric-appropriate residual objective over the decision
   /// graph — through the shared CSR engine or the legacy residual-copy
@@ -327,6 +386,8 @@ class EgoistNetwork {
     std::vector<NodeId> landmarks;
     std::vector<std::int32_t> column;  ///< node id -> column; -1 = none
     graph::DistanceMatrix dist;
+    graph::Digraph reversed{0};          ///< refresh scratch
+    graph::DistanceMatrix by_landmark;   ///< refresh scratch, L x n
   };
   LandmarkState landmark_state_;
 
@@ -336,6 +397,15 @@ class EgoistNetwork {
   std::vector<graph::Edge> old_row_scratch_;  ///< apply_wiring announce delta
   std::vector<NodeId> holder_scratch_;        ///< tolerance-mode marking
   std::vector<NodeId> drift_links_scratch_;   ///< drift-probe link list
+
+  /// Scale mode: per-node turn counters of the private counter-based
+  /// streams (open_stream), and reusable pool-sized buffers plus one
+  /// id-indexed row (all unmeasured() between uses) for the sequential
+  /// paths and the merge.
+  std::vector<std::uint32_t> stream_turn_;
+  std::vector<NodeId> pool_scratch_;
+  std::vector<double> values_scratch_;
+  std::vector<double> direct_scratch_;
 
   int epochs_ = 0;
   std::uint64_t total_rewirings_ = 0;

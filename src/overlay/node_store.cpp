@@ -15,17 +15,17 @@ NodeStore::NodeStore(std::size_t nodes, std::size_t wiring_capacity,
       donated_count_(nodes, 0),
       online_(nodes, 0) {}
 
-std::size_t NodeStore::online_count() const {
-  return static_cast<std::size_t>(
-      std::count(online_.begin(), online_.end(), std::uint8_t{1}));
-}
-
-std::vector<NodeId> NodeStore::online_nodes() const {
-  std::vector<NodeId> out;
-  for (std::size_t v = 0; v < online_.size(); ++v) {
-    if (online_[v]) out.push_back(static_cast<NodeId>(v));
+void NodeStore::set_online(std::size_t node, bool online) {
+  if (is_online(node) == online) return;
+  online_[node] = online ? 1 : 0;
+  const auto id = static_cast<NodeId>(node);
+  const auto it =
+      std::lower_bound(online_list_.begin(), online_list_.end(), id);
+  if (online) {
+    online_list_.insert(it, id);
+  } else {
+    online_list_.erase(it);
   }
-  return out;
 }
 
 void NodeStore::set_wiring(std::size_t node, std::span<const NodeId> links) {
@@ -48,56 +48,37 @@ void NodeStore::set_donated(std::size_t node, std::span<const NodeId> links) {
   donated_count_[node] = static_cast<std::uint32_t>(links.size());
 }
 
-void EpochStore::begin(std::size_t nodes, std::size_t wiring_capacity,
-                       bool dense) {
-  dense_ = dense;
+void EpochStore::begin(std::size_t nodes, std::size_t wiring_capacity) {
   wiring_cap_ = wiring_capacity;
   proposed_.assign(nodes * wiring_capacity, NodeId{-1});
   proposed_count_.assign(nodes, 0);
   adopt_.assign(nodes, 0);
-  pool_offset_.assign(1, 0);
-  pool_ids_.clear();
-  pool_values_.clear();
-  if (dense) {
-    direct_.reshape(nodes, nodes);
-  } else {
-    pool_offset_.reserve(nodes + 1);
-  }
 }
 
 void EpochStore::begin_dense(std::size_t nodes, std::size_t wiring_capacity) {
-  begin(nodes, wiring_capacity, true);
+  begin(nodes, wiring_capacity);
+  dense_ = true;
+  direct_.reshape(nodes, nodes);
 }
 
-void EpochStore::begin_sparse(std::size_t nodes, std::size_t wiring_capacity) {
-  begin(nodes, wiring_capacity, false);
+void EpochStore::begin_sparse(std::size_t nodes, std::size_t wiring_capacity,
+                              std::size_t pool_capacity) {
+  begin(nodes, wiring_capacity);
+  dense_ = false;
+  pool_cap_ = pool_capacity;
+  // Slots are only read up to their count, so stale contents need no reset.
+  pool_ids_.resize(nodes * pool_capacity);
+  pool_values_.resize(nodes * pool_capacity);
+  pool_count_.assign(nodes, 0);
 }
 
-void EpochStore::add_pool(std::size_t node, std::span<const NodeId> ids,
-                          std::span<const double> values) {
-  if (ids.size() != values.size()) {
-    throw std::invalid_argument("pool ids/values size mismatch");
+void EpochStore::set_pool(std::size_t node, std::span<const NodeId> ids) {
+  if (ids.size() > pool_cap_) {
+    throw std::length_error("pool exceeds slot capacity");
   }
-  if (node + 1 < pool_offset_.size()) {
-    throw std::invalid_argument("pools must be appended in ascending order");
-  }
-  // Nodes skipped since the last append get empty pools.
-  while (pool_offset_.size() <= node) pool_offset_.push_back(pool_ids_.size());
-  pool_ids_.insert(pool_ids_.end(), ids.begin(), ids.end());
-  pool_values_.insert(pool_values_.end(), values.begin(), values.end());
-  pool_offset_.push_back(pool_ids_.size());
-}
-
-std::span<const NodeId> EpochStore::pool_ids(std::size_t node) const {
-  if (node + 1 >= pool_offset_.size()) return {};
-  return {pool_ids_.data() + pool_offset_[node],
-          pool_offset_[node + 1] - pool_offset_[node]};
-}
-
-std::span<const double> EpochStore::pool_values(std::size_t node) const {
-  if (node + 1 >= pool_offset_.size()) return {};
-  return {pool_values_.data() + pool_offset_[node],
-          pool_offset_[node + 1] - pool_offset_[node]};
+  std::copy(ids.begin(), ids.end(),
+            pool_ids_.begin() + static_cast<std::ptrdiff_t>(node * pool_cap_));
+  pool_count_[node] = static_cast<std::uint32_t>(ids.size());
 }
 
 void EpochStore::set_proposal(std::size_t node, std::span<const NodeId> wiring,

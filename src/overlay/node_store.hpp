@@ -10,8 +10,8 @@
 //
 // EpochStore holds the epoch-scoped planes of the parallel pipeline
 // (overlay/epoch_engine.hpp): the measurement plane captured during the
-// sequential snapshot phase (a dense n x n matrix, or compact per-node
-// pools in §5 scale mode) and the proposal plane the evaluate phase writes
+// snapshot phase (a dense n x n matrix, or fixed-stride per-node pool
+// slots in §5 scale mode) and the proposal plane the evaluate phase writes
 // (proposed wiring rows + adoption flags, one disjoint slot per node).
 #pragma once
 
@@ -37,13 +37,17 @@ class NodeStore {
 
   std::size_t size() const { return online_.size(); }
   std::size_t wiring_capacity() const { return wiring_cap_; }
+  std::size_t donated_capacity() const { return donated_cap_; }
 
   bool is_online(std::size_t node) const { return online_[node] != 0; }
-  void set_online(std::size_t node, bool online) {
-    online_[node] = online ? 1 : 0;
-  }
-  std::size_t online_count() const;
-  std::vector<NodeId> online_nodes() const;  ///< ascending
+  /// Keeps the ascending online list in step: O(log n) to find the slot
+  /// plus one memmove of the list tail.
+  void set_online(std::size_t node, bool online);
+  std::size_t online_count() const { return online_list_.size(); }
+  /// The online nodes, ascending — a view, invalidated by set_online.
+  std::span<const NodeId> online_list() const { return online_list_; }
+  /// An owning copy of online_list().
+  std::vector<NodeId> online_nodes() const { return online_list_; }
 
   std::span<const NodeId> wiring(std::size_t node) const {
     return {wiring_.data() + node * wiring_cap_, wiring_count_[node]};
@@ -76,6 +80,7 @@ class NodeStore {
   std::vector<NodeId> donated_;               ///< nodes x donated_cap_
   std::vector<std::uint32_t> donated_count_;
   std::vector<std::uint8_t> online_;
+  std::vector<NodeId> online_list_;  ///< ascending
 };
 
 class EpochStore {
@@ -84,10 +89,13 @@ class EpochStore {
   /// v's fresh direct measurements, indexed by destination id).
   void begin_dense(std::size_t nodes, std::size_t wiring_capacity);
 
-  /// Scale mode: the plane is CSR-style per-node pools (ids + measured
-  /// values, appended in ascending node order during the snapshot phase),
-  /// so memory stays O(probed pairs) instead of O(n^2).
-  void begin_sparse(std::size_t nodes, std::size_t wiring_capacity);
+  /// Scale mode: the plane is one fixed-stride pool slot per node (ids +
+  /// measured values, at most `pool_capacity` each), so memory stays
+  /// O(n * pool) instead of O(n^2) and the snapshot tasks of distinct nodes
+  /// fill disjoint slots concurrently. Nodes without set_pool keep an
+  /// empty pool.
+  void begin_sparse(std::size_t nodes, std::size_t wiring_capacity,
+                    std::size_t pool_capacity);
 
   bool dense() const { return dense_; }
 
@@ -98,13 +106,19 @@ class EpochStore {
     return direct_.row(node);
   }
 
-  /// Appends node's pool (must be called in ascending node order; nodes
-  /// without a call keep an empty pool). `values[i]` is the measured value
-  /// of pool id `ids[i]`.
-  void add_pool(std::size_t node, std::span<const NodeId> ids,
-                std::span<const double> values);
-  std::span<const NodeId> pool_ids(std::size_t node) const;
-  std::span<const double> pool_values(std::size_t node) const;
+  /// Stores node's pool ids; its values (pool_values(node)[i] measures
+  /// ids[i]) are the caller's to fill. Safe for concurrent callers on
+  /// distinct nodes.
+  void set_pool(std::size_t node, std::span<const NodeId> ids);
+  std::span<const NodeId> pool_ids(std::size_t node) const {
+    return {pool_ids_.data() + node * pool_cap_, pool_size(node)};
+  }
+  std::span<double> pool_values(std::size_t node) {
+    return {pool_values_.data() + node * pool_cap_, pool_size(node)};
+  }
+  std::span<const double> pool_values(std::size_t node) const {
+    return {pool_values_.data() + node * pool_cap_, pool_size(node)};
+  }
 
   /// Proposal plane: one disjoint slot per node, safe for concurrent
   /// writers on distinct nodes.
@@ -116,14 +130,18 @@ class EpochStore {
   bool adopted(std::size_t node) const { return adopt_[node] != 0; }
 
  private:
-  void begin(std::size_t nodes, std::size_t wiring_capacity, bool dense);
+  void begin(std::size_t nodes, std::size_t wiring_capacity);
+  std::size_t pool_size(std::size_t node) const {
+    return node < pool_count_.size() ? pool_count_[node] : 0;
+  }
 
   bool dense_ = false;
   std::size_t wiring_cap_ = 0;
   graph::DistanceMatrix direct_;              ///< dense measurement plane
-  std::vector<std::size_t> pool_offset_;      ///< sparse plane (CSR append)
-  std::vector<NodeId> pool_ids_;
-  std::vector<double> pool_values_;
+  std::size_t pool_cap_ = 0;                  ///< sparse plane slot stride
+  std::vector<NodeId> pool_ids_;              ///< nodes x pool_cap_
+  std::vector<double> pool_values_;           ///< nodes x pool_cap_
+  std::vector<std::uint32_t> pool_count_;
   std::vector<NodeId> proposed_;              ///< nodes x wiring_cap_
   std::vector<std::uint32_t> proposed_count_;
   std::vector<std::uint8_t> adopt_;

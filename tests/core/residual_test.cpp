@@ -74,6 +74,17 @@ TEST(ResidualTest, DefaultPenaltyDominatesPathCosts) {
   EXPECT_GT(default_unreachable_penalty(overlay), 40.0 * 100.0);
 }
 
+TEST(ResidualTest, FiniteOnlyPenaltyIgnoresUnmeasuredLinks) {
+  // A link announced at its unmeasured (infinite) cost makes the historical
+  // scan infinite; finite_only takes the largest finite weight instead.
+  graph::Digraph overlay(3);
+  overlay.set_edge(1, 2, 40.0);
+  overlay.set_edge(2, 0, graph::kUnreachable);
+  EXPECT_EQ(default_unreachable_penalty(overlay), graph::kUnreachable);
+  EXPECT_EQ(default_unreachable_penalty(overlay, /*finite_only=*/true),
+            1000.0 * 40.0 * 3.0);
+}
+
 TEST(ResidualBandwidthTest, UsesWidestPathResiduals) {
   // 1 -> 2 with bw 8; 2 -> 1 with bw 2. Self = 0.
   graph::Digraph overlay(3);

@@ -73,6 +73,48 @@ TEST(EnvironmentPlaneTest, SparsePlaneMemoryTracksProbedPairs) {
   EXPECT_LT(bytes * 100, dense_env.plane_memory_bytes());
 }
 
+TEST(EnvironmentPlaneTest, PerSourcePlaneCountsExactlyTheProbedPairs) {
+  // Rows longer than the unsorted tail, probed in scrambled order with
+  // repeats: the per-source plane must hold each directed pair once, agree
+  // with the dense layout on every EWMA, and size its memory by the rows
+  // that exist.
+  EnvironmentConfig dense;
+  dense.coord_warmup_rounds = 5;
+  dense.sparse_plane_threshold = 1u << 20;
+  dense.delay_drift_volatility = 0.0;
+  auto sparse = dense;
+  sparse.sparse_plane_threshold = 0;
+  constexpr int kN = 80;
+  Environment dense_env(kN, 9, dense);
+  Environment sparse_env(kN, 9, sparse);
+  ASSERT_TRUE(sparse_env.sparse_plane());
+  const std::size_t empty_bytes = sparse_env.plane_memory_bytes();
+
+  std::size_t distinct = 0;
+  for (int i = 0; i < 3; ++i) {  // three sources probe, the rest never do
+    for (int round = 0; round < 3; ++round) {
+      for (int step = 0; step < kN; ++step) {
+        const int j = (step * 37 + i * 11) % kN;  // 37 is coprime to 80
+        if (j == i) continue;
+        if (round == 0) ++distinct;
+        EXPECT_DOUBLE_EQ(dense_env.measure_delay_ping(i, j),
+                         sparse_env.measure_delay_ping(i, j))
+            << "pair " << i << "->" << j << " round " << round;
+      }
+      EXPECT_EQ(sparse_env.probed_pairs(), distinct);
+    }
+  }
+  EXPECT_EQ(distinct, 3u * (kN - 1));
+  EXPECT_EQ(dense_env.probed_pairs(), distinct);
+
+  // Memory: at least one 12-byte payload (id + EWMA) per pair beyond the
+  // empty plane, and at most twice a padded 16-byte entry per pair plus a
+  // row header per probing source (growth slack).
+  const std::size_t bytes = sparse_env.plane_memory_bytes() - empty_bytes;
+  EXPECT_GE(bytes, distinct * (sizeof(std::int32_t) + sizeof(double)));
+  EXPECT_LE(bytes, 2 * distinct * 16 + 3 * 64);
+}
+
 TEST(EnvironmentPlaneTest, ProceduralDriftIsBoundedAndMoves) {
   Environment env(32, 3, sparse_config(net::UnderlayKind::kProcedural));
   const double base = env.delays().delay(2, 5);

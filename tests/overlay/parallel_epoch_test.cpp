@@ -127,10 +127,69 @@ TEST(ParallelEpochTest, LegacyPathBackendIsWorkerCountInvariant) {
   expect_worker_count_invariance(c, "BR legacy backend");
 }
 
+/// Everything a scale-mode pipeline run produces, epoch by epoch: every
+/// node's wiring and its pool (ids + measured values, from the epoch's
+/// EpochStore), the measurement plane's probed-pair count and the
+/// re-wiring counts.
+struct ScaleRecord {
+  std::vector<std::vector<std::vector<graph::NodeId>>> wirings;
+  std::vector<std::vector<std::vector<graph::NodeId>>> pool_ids;
+  std::vector<std::vector<std::vector<double>>> pool_values;
+  std::vector<std::size_t> probed_pairs;
+  std::vector<int> rewired;
+};
+
+/// n = 200 in scale mode on the procedural backend, churn replayed
+/// between epochs through set_online.
+ScaleRecord record_scale(int workers, const churn::ChurnTrace& trace) {
+  const std::size_t n = trace.initial_on().size();
+  overlay::EnvironmentConfig env_cfg = env_config(net::UnderlayKind::kProcedural);
+  overlay::Environment env(n, 31, env_cfg);
+  overlay::OverlayConfig config;
+  config.policy = Policy::kBestResponse;
+  config.k = 6;
+  config.seed = 17;
+  config.br_sample = 16;
+  config.br_landmarks = 24;
+  config.epoch_workers = workers;
+  overlay::EgoistNetwork net(env, config);
+  const auto& initial = trace.initial_on();
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!initial[v]) net.set_online(static_cast<int>(v), false);
+  }
+  ScaleRecord out;
+  std::size_t next = 0;
+  const auto& events = trace.events();
+  for (int e = 0; e < 5; ++e) {
+    env.advance(60.0);
+    for (; next < events.size() && events[next].time <= (e + 1) * 60.0;
+         ++next) {
+      net.set_online(events[next].node, events[next].on);
+    }
+    out.rewired.push_back(net.run_epoch());
+    out.probed_pairs.push_back(env.probed_pairs());
+    auto& wirings = out.wirings.emplace_back();
+    auto& ids = out.pool_ids.emplace_back();
+    auto& values = out.pool_values.emplace_back();
+    for (std::size_t v = 0; v < n; ++v) {
+      const auto w = net.wiring(static_cast<int>(v));
+      wirings.emplace_back(w.begin(), w.end());
+      const auto pool = net.epoch_store().pool_ids(v);
+      ids.emplace_back(pool.begin(), pool.end());
+      const auto measured = net.epoch_store().pool_values(v);
+      values.emplace_back(measured.begin(), measured.end());
+    }
+  }
+  return out;
+}
+
 TEST(ParallelEpochTest, ScaleModeIsWorkerCountInvariant) {
-  // §5 sampled scale mode: the snapshot phase draws every sample pool and
-  // landmark set sequentially, so the sampled pipeline must also be
-  // invariant across worker counts.
+  // §5 sampled scale mode: the snapshot runs on the workers — landmark
+  // traversals one column per task, sampling and measurement one node per
+  // task on the node's own counter-based streams — so the sampled pipeline
+  // must be invariant across worker counts: through the host harness on
+  // both backends, and at n = 200 with churn replayed, where wirings, every
+  // pool's ids and values, probed pairs and re-wirings must match.
   for (const auto kind :
        {net::UnderlayKind::kDense, net::UnderlayKind::kProcedural}) {
     DeterminismCase c;
@@ -148,6 +207,27 @@ TEST(ParallelEpochTest, ScaleModeIsWorkerCountInvariant) {
     expect_worker_count_invariance(
         c, kind == net::UnderlayKind::kDense ? "scale dense"
                                              : "scale procedural");
+  }
+
+  churn::ChurnConfig churn_config;
+  churn_config.mean_on_s = 240.0;
+  churn_config.mean_off_s = 60.0;
+  churn_config.initial_on_fraction = 0.85;
+  const churn::ChurnTrace trace(200, 5 * 60.0, 123, churn_config);
+  ASSERT_FALSE(trace.events().empty());
+  const ScaleRecord reference = record_scale(1, trace);
+  EXPECT_GT(reference.rewired.front(), 0);
+  for (int workers : {2, 3, 4, 8}) {
+    const ScaleRecord parallel = record_scale(workers, trace);
+    const std::string label = "n=200 churned @ workers=" + std::to_string(workers);
+    EXPECT_EQ(reference.rewired, parallel.rewired) << label;
+    EXPECT_EQ(reference.probed_pairs, parallel.probed_pairs) << label;
+    for (std::size_t e = 0; e < reference.wirings.size(); ++e) {
+      EXPECT_EQ(reference.wirings[e], parallel.wirings[e]) << label << " epoch " << e;
+      EXPECT_EQ(reference.pool_ids[e], parallel.pool_ids[e]) << label << " epoch " << e;
+      EXPECT_EQ(reference.pool_values[e], parallel.pool_values[e])
+          << label << " epoch " << e;
+    }
   }
 }
 

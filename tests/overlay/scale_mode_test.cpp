@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "churn/churn.hpp"
 #include "host/overlay_host.hpp"
 
 namespace egoist::overlay {
@@ -90,6 +91,97 @@ TEST(ScaleModeTest, MeasurementStaysWithinSampledPairs) {
   const std::size_t per_node_budget = 3 * (config.br_sample + config.k + 1);
   EXPECT_LT(env.probed_pairs(), kN * per_node_budget);
   EXPECT_LT(env.probed_pairs(), kN * (kN - 1) / 2);
+}
+
+TEST(ScaleModeTest, SamplerContract) {
+  // A 12-node overlay with br_sample = 8: a node's committed links leave
+  // at most 11 - k eligible ids, so the sampler must take its enumeration
+  // path, and still hand back a distinct, online, self- and commitment-free
+  // sample of exactly min(8, eligible) ids.
+  Environment env(12, 3, scale_env(net::UnderlayKind::kProcedural));
+  EgoistNetwork net(env, scale_config());
+  net.set_online(7, false);
+  const auto online = net.online_nodes();
+  for (const NodeId self : online) {
+    const auto wiring = net.wiring(self);
+    std::vector<NodeId> pool;
+    for (const NodeId v : wiring) {
+      if (net.is_online(v)) pool.push_back(v);
+    }
+    const std::size_t committed = pool.size();
+    const std::size_t eligible = online.size() - 1 - committed;
+    net::CounterStream stream(99, static_cast<std::uint64_t>(self), 0);
+    EXPECT_TRUE(sample_candidates(online, self, 8, stream, pool));
+    ASSERT_EQ(pool.size(), committed + std::min<std::size_t>(8, eligible));
+    std::vector<NodeId> sample(pool.begin() + static_cast<std::ptrdiff_t>(committed),
+                               pool.end());
+    for (const NodeId v : sample) {
+      EXPECT_NE(v, self);
+      EXPECT_TRUE(net.is_online(v));
+      EXPECT_EQ(std::find(wiring.begin(), wiring.end(), v), wiring.end());
+    }
+    std::sort(sample.begin(), sample.end());
+    EXPECT_EQ(std::adjacent_find(sample.begin(), sample.end()), sample.end());
+  }
+
+  // Larger online lists take the rejection path: same contract, and the
+  // draws depend only on the stream key.
+  std::vector<NodeId> many(200);
+  for (std::size_t v = 0; v < many.size(); ++v) many[v] = static_cast<NodeId>(2 * v);
+  std::vector<NodeId> pool{4, 10, 12};
+  net::CounterStream stream(5, 6, 7);
+  EXPECT_FALSE(sample_candidates(many, 8, 32, stream, pool));
+  ASSERT_EQ(pool.size(), 35u);
+  std::vector<NodeId> sorted = pool;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+  for (const NodeId v : pool) {
+    EXPECT_NE(v, 8);
+    EXPECT_TRUE(std::binary_search(many.begin(), many.end(), v));
+  }
+  std::vector<NodeId> again{4, 10, 12};
+  net::CounterStream same_key(5, 6, 7);
+  sample_candidates(many, 8, 32, same_key, again);
+  EXPECT_EQ(again, pool);
+}
+
+TEST(ScaleModeTest, DepartedNeighborsDoNotTriggerMassRewiring) {
+  // Churn with a tenth of the overlay starting offline. Holders that keep
+  // a link to a departed node re-announce it at its unmeasured, infinite
+  // cost, and fresh joiners are landmarks nobody reaches yet. The fold
+  // penalty must stay finite over the infinite links, or the BR(eps) test
+  // compares inf - inf = NaN for every node facing an unreachable landmark
+  // and adopts every differing proposal.
+  constexpr std::size_t kN = 1000;
+  Environment env(kN, 21, scale_env(net::UnderlayKind::kProcedural));
+  auto config = scale_config();
+  config.k = 10;
+  config.br_sample = 32;
+  config.br_landmarks = 64;
+  config.epoch_workers = 2;
+  EgoistNetwork net(env, config);
+  churn::ChurnConfig churn_config;
+  churn_config.initial_on_fraction = 0.9;
+  const churn::ChurnTrace trace(kN, 6 * 60.0, 5, churn_config);
+  for (std::size_t v = 0; v < kN; ++v) {
+    if (!trace.initial_on()[v]) net.set_online(static_cast<int>(v), false);
+  }
+  std::size_t next = 0;
+  for (int e = 0; e < 6; ++e) {
+    env.advance(60.0);
+    for (; next < trace.events().size() &&
+           trace.events()[next].time <= (e + 1) * 60.0;
+         ++next) {
+      net.set_online(trace.events()[next].node, trace.events()[next].on);
+    }
+    // With the NaN, the first epoch after the departures re-wires nearly
+    // half the overlay here; with a finite penalty every epoch stays
+    // well under a quarter.
+    const int rewired = net.run_epoch();
+    EXPECT_LT(4 * static_cast<std::size_t>(rewired), net.online_count())
+        << "epoch " << e << " re-wired " << rewired << " of "
+        << net.online_count();
+  }
 }
 
 TEST(ScaleModeTest, HybridBRKeepsDonatedBackboneLinks) {
