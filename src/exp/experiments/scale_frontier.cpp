@@ -28,9 +28,9 @@
 // additionally runs the full-recompute variant of every n on the same
 // trace and reports speedup_vs_full on the incremental rows.
 //
-// `per-epoch = true` adds an "epochs" panel: one row per timed epoch with
-// its online count, evaluations, re-wirings and wall time — the per-epoch
-// re-wiring series docs/EXPERIMENTS.md records. Every row carries
+// The "epochs" panel has one row per timed epoch with its online count,
+// evaluations, re-wirings and wall time — the per-epoch re-wiring series
+// docs/EXPERIMENTS.md records. Every row carries
 // `host_cpus` so worker-count timings are read against the hardware.
 #include <algorithm>
 #include <chrono>
@@ -132,7 +132,6 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
   const bool incremental = params.get_bool("incremental", false);
   const double drift_threshold = params.get_double("drift-threshold", 0.05);
   const bool compare_full = params.get_bool("compare-full", false);
-  const bool per_epoch = params.get_bool("per-epoch", false);
   const std::string host_cpus =
       std::to_string(std::thread::hardware_concurrency());
   if (churn_horizon < 0) {
@@ -224,18 +223,16 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
       row.rewirings += rewired;
       row.epoch_ms_mean += ms;
       row.epoch_ms_min = std::min(row.epoch_ms_min, ms);
-      if (per_epoch) {
-        std::ostringstream epoch_ms;
-        epoch_ms << std::fixed << std::setprecision(1) << ms;
-        sink.row("epochs",
-                 {"n", "variant", "workers", "host_cpus", "epoch", "online",
-                  "evaluated", "rewirings", "epoch_ms"},
-                 {std::to_string(n), row.variant,
-                  std::to_string(config.epoch_workers), host_cpus,
-                  std::to_string(e + 1), std::to_string(net.online_count()),
-                  std::to_string(net.total_evaluations() - epoch_evals),
-                  std::to_string(rewired), epoch_ms.str()});
-      }
+      std::ostringstream epoch_ms;
+      epoch_ms << std::fixed << std::setprecision(1) << ms;
+      sink.row("epochs",
+               {"n", "variant", "workers", "host_cpus", "epoch", "online",
+                "evaluated", "rewirings", "epoch_ms"},
+               {std::to_string(n), row.variant,
+                std::to_string(config.epoch_workers), host_cpus,
+                std::to_string(e + 1), std::to_string(net.online_count()),
+                std::to_string(net.total_evaluations() - epoch_evals),
+                std::to_string(rewired), epoch_ms.str()});
     }
     row.epoch_ms_mean /= epochs;
     row.evaluated = net.total_evaluations() - evals_mark;

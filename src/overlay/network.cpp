@@ -73,7 +73,7 @@ class ScatteredRow {
 
 }  // namespace
 
-bool sample_candidates(std::span<const NodeId> online, NodeId self,
+void sample_candidates(std::span<const NodeId> online, NodeId self,
                        std::size_t count, net::CounterStream& stream,
                        std::vector<NodeId>& pool) {
   const bool self_online =
@@ -93,7 +93,7 @@ bool sample_candidates(std::span<const NodeId> online, NodeId self,
       const NodeId v = online[stream.below(online.size())];
       if (v != self && !in_pool(v)) pool.push_back(v);
     }
-    return false;
+    return;
   }
   // Enumeration: the sample is a large share of what is left.
   std::vector<NodeId> candidates;
@@ -106,7 +106,6 @@ bool sample_candidates(std::span<const NodeId> online, NodeId self,
               candidates[i + stream.below(candidates.size() - i)]);
     pool.push_back(candidates[i]);
   }
-  return true;
 }
 
 EgoistNetwork::EgoistNetwork(Environment& env, OverlayConfig config)
@@ -273,7 +272,8 @@ std::size_t EgoistNetwork::online_count() const {
 }
 
 std::vector<NodeId> EgoistNetwork::online_nodes() const {
-  return store_.online_nodes();
+  const auto online = store_.online_list();
+  return {online.begin(), online.end()};
 }
 
 std::span<const NodeId> EgoistNetwork::wiring(int node) const {
@@ -393,44 +393,29 @@ void EgoistNetwork::refresh_landmarks(EpochEngine* workers) {
 
   // Scale mode has no other use for the path engine: it holds the CSR
   // snapshot of the reversed graph, whose const scratch queries may run
-  // concurrently. Traversal c fills row c of the landmark-major scratch
-  // (contiguous, its own); a blocked transpose over disjoint node ranges
-  // then fills the node-major matrix the objectives read. Writing the
-  // node-major columns directly would have the workers share cache lines.
+  // concurrently. Traversal c fills a row of its own and copies it into
+  // column c of the node-major matrix the objectives read.
   engine_.rebuild(reversed);
   const graph::PathEngine& snapshot = engine_;
   const bool widest = config_.metric == Metric::kBandwidth;
   const std::size_t columns = landmark_state_.landmarks.size();
-  auto& by_landmark = landmark_state_.by_landmark;
   auto& dist = landmark_state_.dist;
-  by_landmark.reshape(columns, n);
   dist.reshape(n, columns);
   const auto traverse = [&](std::size_t c, EpochWorkspace& ws) {
     const NodeId l = landmark_state_.landmarks[c];
+    std::vector<double> row(n);
     if (widest) {
-      snapshot.widest_from(l, graph::kNoExclude, by_landmark.row(c), ws.query);
+      snapshot.widest_from(l, graph::kNoExclude, row, ws.query);
     } else {
-      snapshot.shortest_from(l, graph::kNoExclude, by_landmark.row(c),
-                             ws.query);
+      snapshot.shortest_from(l, graph::kNoExclude, row, ws.query);
     }
-  };
-  constexpr std::size_t kBlock = 256;
-  const std::size_t blocks = (n + kBlock - 1) / kBlock;
-  const auto transpose = [&](std::size_t b, EpochWorkspace&) {
-    const std::size_t end = std::min(n, (b + 1) * kBlock);
-    for (std::size_t c = 0; c < columns; ++c) {
-      for (std::size_t v = b * kBlock; v < end; ++v) {
-        dist(v, c) = by_landmark(c, v);
-      }
-    }
+    for (std::size_t v = 0; v < n; ++v) dist(v, c) = row[v];
   };
   if (workers != nullptr) {
     workers->run(columns, traverse);
-    workers->run(blocks, transpose);
   } else {
     EpochWorkspace ws;
     for (std::size_t c = 0; c < columns; ++c) traverse(c, ws);
-    for (std::size_t b = 0; b < blocks; ++b) transpose(b, ws);
   }
   landmark_state_.valid = true;
   landmark_state_.evals_left = online_count();
@@ -788,7 +773,7 @@ std::vector<NodeId> EgoistNetwork::choose_wiring(int node,
                                                  const std::vector<double>& direct) {
   // Candidates: online nodes other than self.
   std::vector<NodeId> candidates;
-  for (NodeId v : online_nodes()) {
+  for (NodeId v : store_.online_list()) {
     if (v != node) candidates.push_back(v);
   }
   const std::size_t k = std::min(config_.k, candidates.size());
@@ -833,7 +818,7 @@ std::vector<NodeId> EgoistNetwork::choose_wiring(int node,
     }
     case Policy::kRegular: {
       // Offsets over the ring of online nodes ranked by id.
-      const auto ring = online_nodes();
+      const auto ring = store_.online_list();
       const auto it =
           std::find(ring.begin(), ring.end(), static_cast<NodeId>(node));
       const std::size_t pos = static_cast<std::size_t>(it - ring.begin());
@@ -1091,7 +1076,7 @@ int EgoistNetwork::run_epoch_pipeline() {
   EGOIST_PROFILE_SCOPE("epoch");
   ++epochs_;
   const std::size_t n = store_.size();
-  const auto online = store_.online_nodes();  // ascending: the merge order
+  const auto online = online_nodes();  // ascending: the merge order
   const bool maximize = config_.metric == Metric::kBandwidth;
   const bool use_engine = config_.path_backend == PathBackend::kCsrEngine;
   EpochEngine& engine = epoch_engine();
@@ -1364,7 +1349,7 @@ std::vector<double> EgoistNetwork::node_bandwidth_scores() const {
 std::vector<std::vector<double>> EgoistNetwork::score_preferences() const {
   if (base_preference_.empty()) return {};
   std::vector<std::vector<double>> prefs(store_.size());
-  for (NodeId v : online_nodes()) {
+  for (NodeId v : store_.online_list()) {
     prefs[static_cast<std::size_t>(v)] = preference_of(v);
   }
   return prefs;

@@ -46,9 +46,8 @@ struct EpochWorkspace;
 /// ids (pool entries must themselves be online). Draws by rejection —
 /// O(count) expected draws, each checked against the pool by a linear
 /// scan — unless count is at least half of the eligible ids; then it
-/// enumerates them and runs a partial Fisher-Yates instead. Returns true
-/// when it enumerated.
-bool sample_candidates(std::span<const NodeId> online, NodeId self,
+/// enumerates them and runs a partial Fisher-Yates instead.
+void sample_candidates(std::span<const NodeId> online, NodeId self,
                        std::size_t count, net::CounterStream& stream,
                        std::vector<NodeId>& pool);
 
@@ -222,7 +221,9 @@ class EgoistNetwork {
   /// penalty makes the BR(eps) test compare inf - inf = NaN, and NaN
   /// adopted every differing proposal of a node with an unreachable
   /// landmark — whole-overlay re-wiring epochs. Dense mode keeps the
-  /// historical scan, which the figure outputs depend on.
+  /// historical scan: taking it finite there too changes the churned
+  /// dense outputs (fig2_churn, ablation panels (a) and (b)), which must
+  /// stay byte-identical.
   double scan_penalty(const graph::Digraph& decision) const;
 
   /// Per-policy choice of new wiring. `direct` comes from measure_direct.
@@ -387,7 +388,6 @@ class EgoistNetwork {
     std::vector<std::int32_t> column;  ///< node id -> column; -1 = none
     graph::DistanceMatrix dist;
     graph::Digraph reversed{0};          ///< refresh scratch
-    graph::DistanceMatrix by_landmark;   ///< refresh scratch, L x n
   };
   LandmarkState landmark_state_;
 

@@ -46,8 +46,6 @@ class NodeStore {
   std::size_t online_count() const { return online_list_.size(); }
   /// The online nodes, ascending — a view, invalidated by set_online.
   std::span<const NodeId> online_list() const { return online_list_; }
-  /// An owning copy of online_list().
-  std::vector<NodeId> online_nodes() const { return online_list_; }
 
   std::span<const NodeId> wiring(std::size_t node) const {
     return {wiring_.data() + node * wiring_cap_, wiring_count_[node]};

@@ -50,8 +50,7 @@ const std::map<std::string, Params>& smoke_overrides() {
        {{"n", "10"}, {"warmup", "1"}, {"sample", "1"}, {"k", "2"}}},
       {"scale_frontier",
        {{"n-list", "64"}, {"k", "4"}, {"br-sample", "8"}, {"br-landmarks", "8"},
-        {"epochs", "1"}, {"score-sources", "4"}, {"coord-warmup", "10"},
-        {"per-epoch", "true"}}},
+        {"epochs", "1"}, {"score-sources", "4"}, {"coord-warmup", "10"}}},
       {"serve_load",
        {{"n", "64"}, {"k", "4"}, {"br-sample", "8"}, {"br-landmarks", "8"},
         {"readers", "2"}, {"sources", "4"}, {"duration", "0.2"},

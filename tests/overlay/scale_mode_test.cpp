@@ -110,9 +110,11 @@ TEST(ScaleModeTest, SamplerContract) {
     }
     const std::size_t committed = pool.size();
     const std::size_t eligible = online.size() - 1 - committed;
+    const std::size_t m = std::min<std::size_t>(8, eligible);
+    EXPECT_GE(2 * m, eligible);  // the enumeration path
     net::CounterStream stream(99, static_cast<std::uint64_t>(self), 0);
-    EXPECT_TRUE(sample_candidates(online, self, 8, stream, pool));
-    ASSERT_EQ(pool.size(), committed + std::min<std::size_t>(8, eligible));
+    sample_candidates(online, self, 8, stream, pool);
+    ASSERT_EQ(pool.size(), committed + m);
     std::vector<NodeId> sample(pool.begin() + static_cast<std::ptrdiff_t>(committed),
                                pool.end());
     for (const NodeId v : sample) {
@@ -129,8 +131,10 @@ TEST(ScaleModeTest, SamplerContract) {
   std::vector<NodeId> many(200);
   for (std::size_t v = 0; v < many.size(); ++v) many[v] = static_cast<NodeId>(2 * v);
   std::vector<NodeId> pool{4, 10, 12};
+  const std::size_t eligible = many.size() - pool.size() - 1;  // 8 is listed
+  EXPECT_LT(2 * 32u, eligible);  // the rejection path
   net::CounterStream stream(5, 6, 7);
-  EXPECT_FALSE(sample_candidates(many, 8, 32, stream, pool));
+  sample_candidates(many, 8, 32, stream, pool);
   ASSERT_EQ(pool.size(), 35u);
   std::vector<NodeId> sorted = pool;
   std::sort(sorted.begin(), sorted.end());
